@@ -9,7 +9,8 @@ PYTEST = PYTHONPATH=src $(PYTHON) -m pytest
 .PHONY: test lint lint-changed test-unpacked test-packed test-faulty \
 	test-serving \
 	bench-smoke serve-smoke bench-backend bench-apps bench-faults \
-	bench-serve bench-serve-load bench-serve-soak bench-transport bench
+	bench-serve bench-serve-load bench-serve-soak bench-transport bench \
+	perfbench-smoke
 
 test: lint test-unpacked test-packed bench-smoke serve-smoke
 
@@ -76,6 +77,15 @@ bench-smoke:
 serve-smoke:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_serve.py \
 		--requests 4 --size 12 --length 32 --jobs 2 --min-speedup 0
+
+# Short runs of the repository benchmark (perfbench/, BENCHMARK.json):
+# the paper-table sweep, whose every Table I/II/IV cell must equal the
+# stored references in perfbench/table_refs.json, and the big-scene
+# serving mix, whose every checked response must equal run_tiled(jobs=1).
+# Either run exits 1 on any mismatch.
+perfbench-smoke:
+	$(PYTHON) perfbench/run.py --workload paper_tables --seconds 5
+	$(PYTHON) perfbench/run.py --workload serve_bigscene --seconds 5
 
 # Full acceptance-scale backend benchmark (1e6-bit x 1024-stream chain).
 bench-backend:

@@ -4,11 +4,16 @@ Every runner returns plain data (dicts keyed the way the paper's table is
 laid out) so tests can assert on shapes and the benchmark harness can print
 them.  Sample counts default to quick-but-stable values; pass larger ones to
 approach the paper's 10^6-sample / 1000-run settings.
+
+The Monte-Carlo and application tables (I, II, IV) each build the task list
+of their whole grid and run it with one :func:`repro.apps.executor.pool_map`
+call, so ``jobs`` workers share the grid instead of waiting on one cell at
+a time; each cell is then reduced from its own tasks in task order, which
+keeps every table independent of ``jobs``.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -16,12 +21,16 @@ import numpy as np
 from ..bincim.design import BINARY_OP_CYCLES
 from ..cmos.design import CmosScDesign
 from ..config import RunConfig
-from ..core.accuracy import op_mse, sng_mse
+from ..core import accuracy
+# Re-exported: callers (and the traced benchmark run) reach the two cell
+# functions through this module.
+from ..core.accuracy import op_mse as op_mse, sng_mse as sng_mse
 from ..core.rng import Lfsr, SobolRng, SoftwareRng
 from ..core.sng import ComparatorSng, SegmentSng
 from ..energy.model import EnergyLedger
 from ..energy.params import DEFAULT_RERAM_COSTS, ReRamStepCosts
 from ..imsc.cost import imsng_conversion_cost, stob_cost
+from ..apps.executor import pool_map
 from ..apps.pipeline import run_app
 from ..reram.trng import ReRamTrng
 
@@ -53,23 +62,6 @@ APP_NAMES = ("compositing", "interpolation", "matting")
 # ---------------------------------------------------------------------------
 # Table I
 # ---------------------------------------------------------------------------
-@contextmanager
-def _harness_pool(jobs: int):
-    """One resident worker pool for a whole table sweep (or ``None``).
-
-    A table is dozens of ``sng_mse``/``op_mse`` cells; sharing one
-    :class:`repro.serve.pool.WorkerPool` pays worker startup once instead
-    of once per cell.  ``jobs=1`` yields ``None`` — the harness then runs
-    chunks in-process, same bits.
-    """
-    if jobs <= 1:
-        yield None
-        return
-    from ..serve.pool import WorkerPool
-    with WorkerPool(jobs) as pool:
-        yield pool
-
-
 class SngFactory:
     """Picklable per-chunk SNG factory for the sharded accuracy harness.
 
@@ -122,26 +114,26 @@ def table1_sng_mse(lengths: Sequence[int] = TABLE1_LENGTHS,
 
     Rows: ``IMSNG M=5`` .. ``IMSNG M=9``, ``Software``, ``PRNG (LFSR)``,
     ``QRNG (Sobol)``.  Columns: stream lengths.  ``jobs`` fans the
-    Monte-Carlo chunks over worker processes through the sharded harness
-    — one resident pool shared by every cell, not a pool per cell; every
-    cell is chunk-deterministic, so the table is independent of ``jobs``
-    (the regression suite asserts ``jobs=1 == jobs=N``).
+    Monte-Carlo chunks of the whole grid over worker processes in one
+    batch; every cell is chunk-deterministic, so the table is independent
+    of ``jobs`` (the regression suite asserts ``jobs=1 == jobs=N``).
     """
+    rows = [(f"IMSNG M={m}", SngFactory("imsng", segment_bits=m))
+            for m in segment_sizes]
+    rows += [(label, SngFactory(source))
+             for label, source in (("Software", "software"),
+                                   ("PRNG (LFSR)", "lfsr"),
+                                   ("QRNG (Sobol)", "sobol"))]
+    keys = [(label, n) for label, _ in rows for n in lengths]
+    cells = [accuracy.mse_tasks((factory, n), samples, seed + n,
+                                accuracy.SNG_CHUNK)
+             for _, factory in rows for n in lengths]
+    # Read through the module at call time, so a run-time swap of the
+    # chunk worker (the traced benchmark run makes one) takes effect.
+    mses = accuracy.mse_grid(accuracy._sng_mse_chunk, cells, samples, jobs)
     out: Dict[str, Dict[int, float]] = {}
-    with _harness_pool(jobs) as pool:
-        for m in segment_sizes:
-            factory = SngFactory("imsng", segment_bits=m)
-            out[f"IMSNG M={m}"] = {
-                n: sng_mse(factory, n, samples, seed=seed + n, jobs=jobs,
-                           pool=pool)
-                for n in lengths}
-        for label, source in (("Software", "software"),
-                              ("PRNG (LFSR)", "lfsr"),
-                              ("QRNG (Sobol)", "sobol")):
-            factory = SngFactory(source)
-            out[label] = {n: sng_mse(factory, n, samples, seed=seed + n,
-                                     jobs=jobs, pool=pool)
-                          for n in lengths}
+    for (label, n), mse in zip(keys, mses):
+        out.setdefault(label, {})[n] = mse
     return out
 
 
@@ -158,19 +150,18 @@ def table2_ops_mse(lengths: Sequence[int] = TABLE1_LENGTHS,
     """MSE(%) of SC arithmetic per RNG source (Table II, M = 8).
 
     Returns ``result[op][source][N]``.  ``jobs`` shards the Monte-Carlo
-    chunks exactly as in :func:`table1_sng_mse` (one resident pool for
-    the whole grid); the grid is independent of ``jobs``.
+    chunks of the whole grid exactly as in :func:`table1_sng_mse`; the
+    grid is independent of ``jobs``.
     """
+    keys = [(op, source, n) for op in ops for source in sources
+            for n in lengths]
+    cells = [accuracy.mse_tasks((op, SngFactory(source), n), samples,
+                                seed + n, accuracy.OP_CHUNK)
+             for op, source, n in keys]
+    mses = accuracy.mse_grid(accuracy._op_mse_chunk, cells, samples, jobs)
     out: Dict[str, Dict[str, Dict[int, float]]] = {}
-    with _harness_pool(jobs) as pool:
-        for op in ops:
-            out[op] = {}
-            for source in sources:
-                factory = SngFactory(source)
-                out[op][source] = {
-                    n: op_mse(op, factory, n, samples, seed=seed + n,
-                              jobs=jobs, pool=pool)
-                    for n in lengths}
+    for (op, source, n), mse in zip(keys, mses):
+        out.setdefault(op, {}).setdefault(source, {})[n] = mse
     return out
 
 
@@ -204,8 +195,10 @@ def table4_quality(lengths: Sequence[int] = TABLE4_LENGTHS,
     ``Binary CIM [faulty|ideal]`` and ``SC N=<n> [faulty|ideal]``, averaged
     over ``runs`` scenes/fault samples.  ``config`` (default
     ``RunConfig.default()`` — the fast preset) supplies every axis left
-    ``None``: ``jobs``/``tile`` shard the SC runs through the tile
-    executor (see :mod:`repro.apps.executor`), ``cell_model`` selects the
+    ``None``: ``jobs`` fans the grid's ``run_app`` calls (one task per
+    row, app and run) over worker processes, ``tile`` splits each SC run
+    into tiles (see :mod:`repro.apps.executor`); the table depends on
+    ``tile`` but not on ``jobs``.  ``cell_model`` selects the
     S-to-B device model ('per-bit' oracle or the batched 'column'
     readout) and ``fault_sampling`` the fault-mask model for the faulty
     SC rows ('dense' bit-exact oracle or the statistically conformant
@@ -213,39 +206,44 @@ def table4_quality(lengths: Sequence[int] = TABLE4_LENGTHS,
     whole-image.  ``config=RunConfig.oracle()`` reproduces the
     paper-faithful per-bit/dense grid.
     """
+    if runs < 1:
+        raise ValueError(f"runs must be >= 1, got {runs}")
     cfg = RunConfig.resolve(config)
     if seed is None:
         seed = cfg.seed
     # run_app re-resolves None/absent axes from the config; only the
-    # explicitly overridden ones are forwarded as kwargs.
-    shard_overrides = {k: v for k, v in
-                       (("jobs", jobs), ("tile", tile),
-                        ("cell_model", cell_model),
-                        ("fault_sampling", fault_sampling))
-                       if v is not None}
-
-    def avg(app: str, backend: str, length: int, faulty: bool
-            ) -> Tuple[float, float]:
-        ssims, psnrs = [], []
-        shard = dict(shard_overrides) if backend == "sc" else {}
-        for r in range(runs):
-            res = run_app(app, backend, length=length, faulty=faulty,
-                          size=size, seed=seed + r, config=cfg, **shard)
-            ssims.append(res.ssim_pct)
-            psnrs.append(res.psnr_db)
-        return float(np.mean(ssims)), float(np.mean(psnrs))
-
+    # explicitly overridden ones are forwarded as kwargs.  Each SC run is
+    # one pool task that tiles in-process (jobs=1): tiled output does not
+    # depend on ``jobs``, and whole-image runs fan out the same way.
+    sc_kwargs = {k: v for k, v in
+                 (("tile", tile), ("cell_model", cell_model),
+                  ("fault_sampling", fault_sampling))
+                 if v is not None}
+    sc_kwargs["jobs"] = 1
+    rows = [(f"Binary CIM [{tag}]", "bincim", 0, faulty)
+            for faulty, tag in ((False, "ideal"), (True, "faulty"))]
+    rows += [(f"SC N={n} [{tag}]", "sc", n, faulty) for n in lengths
+             for faulty, tag in ((False, "ideal"), (True, "faulty"))]
+    tasks = [(app, backend, length, faulty, size, seed + r, cfg,
+              sc_kwargs if backend == "sc" else {})
+             for _, backend, length, faulty in rows for app in APP_NAMES
+             for r in range(runs)]
+    scores = iter(pool_map(_table4_run, tasks, jobs, config=cfg))
     out: Dict[str, Dict[str, Tuple[float, float]]] = {}
-    for faulty in (False, True):
-        tag = "faulty" if faulty else "ideal"
-        row = {app: avg(app, "bincim", 0, faulty) for app in APP_NAMES}
-        out[f"Binary CIM [{tag}]"] = row
-    for n in lengths:
-        for faulty in (False, True):
-            tag = "faulty" if faulty else "ideal"
-            row = {app: avg(app, "sc", n, faulty) for app in APP_NAMES}
-            out[f"SC N={n} [{tag}]"] = row
+    for label, *_ in rows:
+        out[label] = {}
+        for app in APP_NAMES:
+            ssims, psnrs = zip(*(next(scores) for _ in range(runs)))
+            out[label][app] = (float(np.mean(ssims)), float(np.mean(psnrs)))
     return out
+
+
+def _table4_run(task) -> Tuple[float, float]:
+    """One Table IV ``run_app`` call: a pool task of :func:`table4_quality`."""
+    app, backend, length, faulty, size, seed, cfg, kwargs = task
+    res = run_app(app, backend, length=length, faulty=faulty, size=size,
+                  seed=seed, config=cfg, **kwargs)
+    return res.ssim_pct, res.psnr_db
 
 
 def quality_drop_summary(table4: Dict[str, Dict[str, Tuple[float, float]]]

@@ -33,14 +33,15 @@ Flags
 ``--backend {unpacked,packed}`` picks the bit-stream execution backend
 (default: the ``REPRO_BACKEND`` environment variable, falling back to
 ``packed``; both backends produce bit-identical streams).  ``--jobs N``
-fans work across N worker processes wherever the target shards: the
-Monte-Carlo tables (``table1``/``table2``, chunk-sharded through the
-factory harness — the printed values are independent of N) and the
-application table (``table4``, which additionally needs ``--tile T`` to
-decompose each scene into ``T x T`` tiles with deterministic per-tile
-seeds — see :mod:`repro.apps.executor`).  ``--cell-model`` and
-``--fault-sampling`` override the preset's S-to-B device model and
-fault-mask model for the SC application runs (see
+fans work across N worker processes wherever the target shards: each
+table's whole grid goes to one pool as one batch — the Monte-Carlo
+chunks of ``table1``/``table2`` (factory harness) and one task per
+application run of ``table4`` — and the printed values are independent
+of N.  ``--tile T`` decomposes each ``table4`` scene into ``T x T``
+tiles with deterministic per-tile seeds (see
+:mod:`repro.apps.executor`), so it changes the SC streams; N does not.
+``--cell-model`` and ``--fault-sampling`` override the preset's S-to-B
+device model and fault-mask model for the SC application runs (see
 :mod:`repro.imsc.stob` / :mod:`repro.imsc.engine`).
 
 ``serve`` starts the request-serving loop instead of printing a table: a
@@ -171,13 +172,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="root seed (default: the preset's, 0)")
     parser.add_argument("--jobs", type=int, default=None,
                         help="worker processes: shards the Monte-Carlo "
-                             "chunks of table1/table2, the tiled SC "
-                             "application runs of table4 (requires "
-                             "--tile), and sizes the resident pool of "
-                             "'serve' (its default pool is 2); printed "
+                             "chunks of table1/table2 and the application "
+                             "runs of table4, and sizes the resident pool "
+                             "of 'serve' (its default pool is 2); printed "
                              "values are independent of N")
     parser.add_argument("--tile", type=int, default=None,
-                        help="tile edge length for sharded SC application "
+                        help="tile edge length for the SC application "
                              "runs (table4); default: whole-image")
     parser.add_argument("--cell-model", choices=["per-bit", "column"],
                         default=None, dest="cell_model",
@@ -243,10 +243,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if cfg.jobs > 1 and args.target in ("table3", "fig4", "fig5", "imsng"):
         parser.error(f"--jobs does not apply to {args.target} (it shards "
                      "table1/table2/table4 and sizes the 'serve' pool)")
-    if (args.target in ("table4", "all") and cfg.jobs > 1
-            and cfg.tile is None):
-        parser.error("--jobs > 1 requires --tile for the application "
-                     "targets (whole-image runs are single-process)")
     if args.backend is not None:
         set_backend(args.backend)
 

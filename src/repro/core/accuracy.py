@@ -23,13 +23,20 @@ too).  Chunk results are reduced in chunk order, so ``jobs=1`` and
 ``jobs=N`` are bit-identical (the regression suite asserts this); both
 differ from the legacy shared-object path, which remains untouched for the
 pinned Table I/II values.
+
+The sharded path is two halves: :func:`mse_tasks` builds one cell's chunk
+tasks and :func:`mse_grid` runs any number of cells' tasks as one
+``pool_map`` over :func:`_sng_mse_chunk` / :func:`_op_mse_chunk`,
+reducing each cell from its own slice.  A single cell is a grid of one;
+the Table I/II runners send their whole grid, which gives the same bits
+as one call per cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -42,9 +49,15 @@ __all__ = [
     "OpSpec",
     "OP_SPECS",
     "op_mse",
+    "mse_tasks",
+    "mse_grid",
 ]
 
 SngLike = object  # duck-typed: .generate / .generate_pair
+
+#: Default Monte-Carlo chunk sizes of :func:`sng_mse` and :func:`op_mse`.
+SNG_CHUNK = 8192
+OP_CHUNK = 4096
 
 
 def _sng_chunk_sq_err(sng, gen: np.random.Generator, n: int,
@@ -66,23 +79,51 @@ def _sng_mse_chunk(task) -> float:
     return _sng_chunk_sq_err(sng, gen, n, length)
 
 
-def _sng_mse_sharded(factory, length: int, samples: int,
-                     seed: Optional[int], chunk: int, jobs: int,
-                     pool) -> float:
+def _check_counts(samples: int, chunk: int) -> None:
+    for name, value in (("samples", samples), ("chunk", chunk)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+
+
+def mse_tasks(head: tuple, samples: int, seed: Optional[int],
+              chunk: int) -> List[tuple]:
+    """One cell's sharded chunk tasks, in chunk order.
+
+    Each task is ``(backend_name, *head, n, child)``: ``n`` is the chunk's
+    sample count and ``child`` its ``SeedSequence(seed)`` child.  ``head``
+    is ``(factory, length)`` for :func:`_sng_mse_chunk` and
+    ``(op_key, factory, length)`` for :func:`_op_mse_chunk`.
+    """
+    _check_counts(samples, chunk)
     n_chunks = ceil(samples / chunk)
     children = np.random.SeedSequence(seed).spawn(n_chunks)
-    sizes = [min(chunk, samples - i * chunk) for i in range(n_chunks)]
     backend_name = get_backend().name
-    tasks = [(backend_name, factory, length, n, child)
-             for n, child in zip(sizes, children)]
+    return [(backend_name, *head, min(chunk, samples - i * chunk), child)
+            for i, child in enumerate(children)]
+
+
+def mse_grid(chunk_fn: Callable[[tuple], float], cells: List[List[tuple]],
+             samples: int, jobs: int = 1) -> List[float]:
+    """MSE(%) of every cell (its :func:`mse_tasks` list) over one pool map.
+
+    All cells' tasks go to :func:`repro.apps.executor.pool_map` as one
+    batch; each cell is then reduced from its own slice of the totals, in
+    chunk order, so a cell's value does not depend on ``jobs`` or on the
+    other cells.
+    """
     from ..apps.executor import pool_map  # deferred: core must not need apps
-    totals = pool_map(_sng_mse_chunk, tasks, jobs, pool=pool)
-    return float(sum(totals)) / samples * 100.0
+    totals = pool_map(chunk_fn, [t for tasks in cells for t in tasks], jobs)
+    out, start = [], 0
+    for tasks in cells:
+        stop = start + len(tasks)
+        out.append(float(sum(totals[start:stop])) / samples * 100.0)
+        start = stop
+    return out
 
 
 def sng_mse(sng, length: int, samples: int = 100_000,
-            seed: Optional[int] = 0, chunk: int = 8192,
-            jobs: int = 1, *, pool=None) -> float:
+            seed: Optional[int] = 0, chunk: int = SNG_CHUNK,
+            jobs: int = 1) -> float:
     """MSE(%) of bit-stream generation for a given SNG (Table I cell).
 
     Draws ``samples`` operand values uniformly from ``[0, 1]``, generates one
@@ -94,16 +135,16 @@ def sng_mse(sng, length: int, samples: int = 100_000,
     which case the chunks get deterministic per-chunk ``SeedSequence``
     children and may fan out over ``jobs`` worker processes; the result is
     independent of ``jobs`` (but differs from the legacy shared-object
-    path, which stays untouched for the pinned Table I values).  ``pool``
-    runs the chunks over a resident :class:`repro.serve.pool.WorkerPool`
-    instead of a one-shot pool — a sweep of many cells should create one
-    pool and share it (the table runners do).
+    path, which stays untouched for the pinned Table I values).
+
+    ``samples`` and ``chunk`` must be >= 1.
     """
     if callable(sng) and not hasattr(sng, "generate"):
-        return _sng_mse_sharded(sng, length, samples, seed, chunk, jobs,
-                                pool)
-    if jobs != 1 or pool is not None:
-        raise ValueError("sng_mse(jobs=N / pool=...) requires an sng "
+        tasks = mse_tasks((sng, length), samples, seed, chunk)
+        return mse_grid(_sng_mse_chunk, [tasks], samples, jobs)[0]
+    _check_counts(samples, chunk)
+    if jobs != 1:
+        raise ValueError("sng_mse(jobs=N) requires an sng "
                          "*factory* (callable(seed_sequence) -> sng); a "
                          "shared sng object cannot be sharded "
                          "deterministically")
@@ -238,26 +279,9 @@ def _op_mse_chunk(task) -> float:
     return _op_chunk_sq_err(spec, sng, gen, n, length)
 
 
-def _op_mse_sharded(op: Union[str, OpSpec], factory, length: int,
-                    samples: int, seed: Optional[int], chunk: int,
-                    jobs: int, pool) -> float:
-    if not isinstance(op, str):
-        raise ValueError("the sharded op_mse path needs an OP_SPECS key "
-                         "(workers resolve the spec by name)")
-    n_chunks = ceil(samples / chunk)
-    children = np.random.SeedSequence(seed).spawn(n_chunks)
-    sizes = [min(chunk, samples - i * chunk) for i in range(n_chunks)]
-    backend_name = get_backend().name
-    tasks = [(backend_name, op, factory, length, n, child)
-             for n, child in zip(sizes, children)]
-    from ..apps.executor import pool_map  # deferred: core must not need apps
-    totals = pool_map(_op_mse_chunk, tasks, jobs, pool=pool)
-    return float(sum(totals)) / samples * 100.0
-
-
 def op_mse(op: Union[str, OpSpec], sng, length: int, samples: int = 50_000,
-           seed: Optional[int] = 0, chunk: int = 4096,
-           jobs: int = 1, *, pool=None) -> float:
+           seed: Optional[int] = 0, chunk: int = OP_CHUNK,
+           jobs: int = 1) -> float:
     """MSE(%) of one SC arithmetic operation (Table II cell).
 
     Parameters
@@ -274,20 +298,21 @@ def op_mse(op: Union[str, OpSpec], sng, length: int, samples: int = 50_000,
     length:
         Stream length N.
     samples / chunk:
-        Monte-Carlo sample count and processing chunk size.
+        Monte-Carlo sample count and processing chunk size (both >= 1).
     jobs:
         Worker processes for the sharded (factory) path; the result is
         independent of ``jobs``.  Requires a factory: the sequential path
         threads one stateful generator and cannot be split.
-    pool:
-        Optional resident :class:`repro.serve.pool.WorkerPool` for the
-        sharded path (see :func:`sng_mse`).
     """
     if callable(sng) and not hasattr(sng, "generate"):
-        return _op_mse_sharded(op, sng, length, samples, seed, chunk,
-                               jobs, pool)
-    if jobs != 1 or pool is not None:
-        raise ValueError("op_mse(jobs=N / pool=...) requires an sng "
+        if not isinstance(op, str):
+            raise ValueError("the sharded op_mse path needs an OP_SPECS key "
+                             "(workers resolve the spec by name)")
+        tasks = mse_tasks((op, sng, length), samples, seed, chunk)
+        return mse_grid(_op_mse_chunk, [tasks], samples, jobs)[0]
+    _check_counts(samples, chunk)
+    if jobs != 1:
+        raise ValueError("op_mse(jobs=N) requires an sng "
                          "*factory* (callable(seed_sequence) -> sng); a "
                          "shared sng object cannot be sharded "
                          "deterministically")

@@ -238,6 +238,10 @@ def _sobol_direction_numbers(dim: int, bits: int) -> np.ndarray:
     return np.asarray(v, dtype=np.int64)
 
 
+#: Widest :class:`SobolRng` whose whole period is tabulated at construction.
+_SOBOL_TABLE_BITS = 16
+
+
 class SobolRng(RandomSource):
     """Quasi-random Sobol sequence source (paper's 8-bit QRNG).
 
@@ -269,6 +273,11 @@ class SobolRng(RandomSource):
             self._shift = int(
                 np.random.default_rng(scramble_seed).integers(0, self.max_value)
             )
+        # One period of the sequence, so integers() is a gather.  Wider
+        # sources (up to 32 bits) would need gigabytes; they compute their
+        # points on demand.
+        self._table = (self._point(np.arange(self.max_value, dtype=np.int64))
+                       if bits <= _SOBOL_TABLE_BITS else None)
 
     def _point(self, indices: np.ndarray) -> np.ndarray:
         # Gray-code construction: x_i = XOR of direction numbers at set bits
@@ -285,7 +294,8 @@ class SobolRng(RandomSource):
         self._index += count
         # Sequence repeats with period 2**bits; wrap indices like hardware
         # counters do.
-        return self._point(idx % self.max_value)
+        idx %= self.max_value
+        return self._point(idx) if self._table is None else self._table[idx]
 
     def reset(self) -> None:
         self._index = 0

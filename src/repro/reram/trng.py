@@ -116,13 +116,23 @@ class ReRamTrng(BitSource):
 
     def _raw_bits(self, count: int) -> np.ndarray:
         p1 = 0.5 + self.bias
-        bits = (self._gen.random(count) < p1).astype(np.uint8)
+        bits = (self._gen.random(count) < p1).view(np.uint8)
         rho = self.autocorr
         if rho != 0.0 and count > 1:
-            # First-order Markov mixing: with prob |rho|, repeat previous bit.
-            copy = self._gen.random(count - 1) < abs(rho)
-            for i in np.flatnonzero(copy):
-                bits[i + 1] = bits[i] if rho > 0 else 1 - bits[i]
+            # First-order Markov mixing: with prob |rho|, bit j repeats bit
+            # j - 1 (rho > 0) or its complement (rho < 0).  Applied left to
+            # right, a run of overwritten positions all derive from the bit
+            # just before the run (its anchor), flipped once per step when
+            # rho < 0.
+            j = np.flatnonzero(self._gen.random(count - 1) < abs(rho)) + 1
+            if j.size:
+                starts = np.ones(j.size, dtype=bool)
+                starts[1:] = j[1:] != j[:-1] + 1
+                anchor = (j[starts] - 1)[np.cumsum(starts) - 1]
+                new = bits[anchor]
+                if rho < 0:
+                    new ^= ((j - anchor) & 1).astype(np.uint8)
+                bits[j] = new
         return bits
 
     def random_bits(self, count: int) -> np.ndarray:

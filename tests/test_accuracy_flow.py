@@ -135,6 +135,38 @@ class TestSngMseSharded:
         assert fan == base and 0.0 < base < 5.0
 
 
+class TestMseGrid:
+    def test_each_cell_reduces_its_own_chunks(self):
+        # Three cells of three chunks (256, 256, 88) in one batch: every
+        # cell must come back as the in-order sum of its own chunk totals.
+        from repro.core.accuracy import _sng_mse_chunk, mse_grid, mse_tasks
+
+        def cells():
+            # Fresh tasks per use: a chunk spawns from its SeedSequence
+            # child, which advances that child in-process.
+            return [mse_tasks((_sng_factory, n), 600, seed, 256)
+                    for n, seed in ((32, 1), (64, 2), (128, 3))]
+
+        want = [sum(_sng_mse_chunk(t) for t in tasks) / 600 * 100.0
+                for tasks in cells()]
+        assert mse_grid(_sng_mse_chunk, cells(), 600, jobs=2) == want
+
+
+class TestSampleCounts:
+    @pytest.mark.parametrize("kwargs, name", [
+        (dict(samples=0), "samples"), (dict(samples=-5), "samples"),
+        (dict(samples=100, chunk=0), "chunk"),
+        (dict(samples=100, chunk=-1), "chunk")])
+    @pytest.mark.parametrize("sharded", [False, True])
+    def test_bad_counts_rejected(self, kwargs, name, sharded):
+        sng = (_sng_factory if sharded
+               else ComparatorSng(SoftwareRng(8, seed=0)))
+        with pytest.raises(ValueError, match=name):
+            sng_mse(sng, 32, **kwargs)
+        with pytest.raises(ValueError, match=name):
+            op_mse("multiplication", sng, 32, **kwargs)
+
+
 class TestScFlow:
     def test_multiplication_flow(self):
         flow = ScFlow(lambda s: ops.mul_and(s["a"], s["b"]),

@@ -1,5 +1,6 @@
 """Unit/integration tests for repro.analysis (tables, experiments, sweeps)."""
 
+import numpy as np
 import pytest
 
 from repro.analysis.tables import dict_grid_to_rows, format_value, render_table
@@ -58,11 +59,16 @@ class TestTable1:
     def test_jobs_do_not_change_the_table(self):
         # The runner routes through the factory-sharded harness: every
         # cell is a pure function of (seed, chunk), so fanning the
-        # Monte-Carlo chunks over workers cannot move the table.
-        kwargs = dict(lengths=(32,), segment_sizes=(8,), samples=10_000,
-                      seed=3)   # > one 8192-sample chunk, so jobs=3 fans out
-        assert ex.table1_sng_mse(jobs=1, **kwargs) == \
-            ex.table1_sng_mse(jobs=3, **kwargs)
+        # Monte-Carlo chunks over workers cannot move the table.  Several
+        # rows x lengths, each cell two chunks (> one 8192-sample chunk):
+        # the one batch over the pool must slice every cell's chunk totals
+        # back out exactly, as a single-cell harness call reduces them.
+        kwargs = dict(lengths=(32, 64), segment_sizes=(8,), samples=8_300,
+                      seed=3)
+        t1 = ex.table1_sng_mse(jobs=1, **kwargs)
+        assert ex.table1_sng_mse(jobs=3, **kwargs) == t1
+        assert t1["PRNG (LFSR)"][64] == ex.sng_mse(
+            ex.SngFactory("lfsr"), 64, 8_300, seed=3 + 64)
 
 
 class TestTable2:
@@ -78,11 +84,14 @@ class TestTable2:
             t2["multiplication"]["software"][32]
 
     def test_jobs_do_not_change_the_table(self):
-        kwargs = dict(lengths=(32,), ops=("multiplication",),
-                      sources=("software", "lfsr"), samples=6_000,
-                      seed=2)   # > one 4096-sample chunk, so jobs=2 fans out
-        assert ex.table2_ops_mse(jobs=1, **kwargs) == \
-            ex.table2_ops_mse(jobs=2, **kwargs)
+        # Two ops x two sources x two lengths, each cell two chunks
+        # (> one 4096-sample chunk); see TestTable1.
+        kwargs = dict(lengths=(32, 64), ops=("multiplication", "minimum"),
+                      sources=("software", "lfsr"), samples=4_200, seed=2)
+        t2 = ex.table2_ops_mse(jobs=1, **kwargs)
+        assert ex.table2_ops_mse(jobs=2, **kwargs) == t2
+        assert t2["minimum"]["lfsr"][32] == ex.op_mse(
+            "minimum", ex.SngFactory("lfsr"), 32, 4_200, seed=2 + 32)
 
 
 class TestTable3:
@@ -117,6 +126,56 @@ class TestTable4:
         # The headline: binary CIM collapses under faults, SC does not.
         assert drops["bincim_avg_ssim_drop_pct"] > \
             4 * drops["sc_avg_ssim_drop_pct"]
+
+    @pytest.mark.parametrize("tile", [8, None])
+    def test_jobs_do_not_change_the_table(self, tile):
+        kwargs = dict(lengths=(32,), runs=2, size=16, seed=1, tile=tile)
+        t4 = ex.table4_quality(jobs=1, **kwargs)
+        assert ex.table4_quality(jobs=2, **kwargs) == t4
+        # Each cell averages its own runs, as direct run_app calls do.
+        for row, app, backend, shard in (
+                ("SC N=32 [faulty]", "matting", "sc", dict(tile=tile)),
+                ("Binary CIM [faulty]", "interpolation", "bincim", {})):
+            runs = [ex.run_app(app, backend, length=32, faulty=True,
+                               size=16, seed=1 + r, **shard)
+                    for r in range(2)]
+            assert t4[row][app] == (
+                float(np.mean([r.ssim_pct for r in runs])),
+                float(np.mean([r.psnr_db for r in runs])))
+
+    def test_zero_runs_rejected(self):
+        with pytest.raises(ValueError, match="runs"):
+            ex.table4_quality(lengths=(32,), runs=0, size=8)
+
+
+class TestOnePoolPerTable:
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        from repro.serve import pool
+
+        made = []
+
+        class CountingPool(pool.WorkerPool):
+            def __init__(self, *args, **kwargs):
+                made.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(pool, "WorkerPool", CountingPool)
+        return made
+
+    @pytest.mark.parametrize("run", [
+        lambda: ex.table1_sng_mse(lengths=(32, 64), segment_sizes=(8,),
+                                  samples=256, jobs=2),
+        lambda: ex.table2_ops_mse(lengths=(32, 64),
+                                  ops=("multiplication",),
+                                  sources=("software", "lfsr"),
+                                  samples=256, jobs=2),
+        lambda: ex.table4_quality(lengths=(32,), runs=1, size=8, tile=4,
+                                  jobs=2),
+    ], ids=["table1", "table2", "table4"])
+    def test_one_worker_pool_per_table_call(self, pools, run):
+        run()
+        assert len(pools) == 1
 
 
 class TestFigures:

@@ -138,6 +138,15 @@ class TestCli:
         assert cli_main(["table1", "--samples", "500"]) == 0
         assert "Table I" in capsys.readouterr().out
 
+    def test_table4_jobs_without_tile(self, capsys):
+        # Whole-image runs fan out one run_app call per task, so --jobs
+        # needs no --tile, and the printed table does not depend on it.
+        args = ["table4", "--runs", "1", "--size", "8"]
+        assert cli_main(args) == 0
+        serial = capsys.readouterr().out
+        assert cli_main(args + ["--jobs", "2"]) == 0
+        assert capsys.readouterr().out == serial
+
     def test_bad_target(self):
         with pytest.raises(SystemExit):
             cli_main(["table9"])

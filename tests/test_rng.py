@@ -117,6 +117,23 @@ class TestSobol:
         r.reset()
         assert np.array_equal(r.integers(16), a)
 
+    @pytest.mark.parametrize("dim", [0, 1, 4, 8])
+    @pytest.mark.parametrize("scramble_seed", [None, 0, 12345])
+    def test_table_matches_point_construction(self, dim, scramble_seed):
+        r = SobolRng(8, dim=dim, scramble_seed=scramble_seed)
+        # Several calls, crossing the 256-point period boundary.
+        got = np.concatenate([r.integers(n) for n in (3, 250, 300, 1)])
+        want = r._point(np.arange(got.size, dtype=np.int64) % 256)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+
+    def test_wide_source_computes_points_on_demand(self):
+        r = SobolRng(20, dim=1, scramble_seed=3)
+        idx = np.arange(5, dtype=np.int64) + (1 << 20) - 2
+        r._index = int(idx[0])
+        np.testing.assert_array_equal(r.integers(5),
+                                      r._point(idx % (1 << 20)))
+
 
 class TestCounter:
     def test_ramp(self):

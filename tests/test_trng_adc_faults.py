@@ -48,6 +48,33 @@ class TestTrng:
         with pytest.raises(ValueError):
             ReRamTrng(rng=0).random_bits(-1)
 
+    @staticmethod
+    def _loop_raw_bits(trng, count):
+        """The per-copy reference loop the vectorised mixing must match."""
+        bits = (trng._gen.random(count) < 0.5 + trng.bias).astype(np.uint8)
+        rho = trng.autocorr
+        if rho != 0.0 and count > 1:
+            copy = trng._gen.random(count - 1) < abs(rho)
+            for i in np.flatnonzero(copy):
+                bits[i + 1] = bits[i] if rho > 0 else 1 - bits[i]
+        return bits
+
+    @pytest.mark.parametrize("rho", [0.01, -0.01, 0.5, -0.5, 1.0, -1.0])
+    def test_raw_bits_match_loop_reference(self, rho):
+        draw = np.random.default_rng(abs(int(rho * 100)) + (rho < 0))
+        counts = [0, 1, 2] + [int(c) for c in draw.integers(3, 5000, 6)]
+        for count in counts:
+            bias = float(draw.uniform(-0.2, 0.2))
+            seed = int(draw.integers(1 << 30))
+            fast = ReRamTrng(bias=bias, autocorr=rho, rng=seed)
+            ref = ReRamTrng(bias=bias, autocorr=rho, rng=seed)
+            got = fast._raw_bits(count)
+            want = self._loop_raw_bits(ref, count)
+            assert got.dtype == np.uint8
+            np.testing.assert_array_equal(got, want, err_msg=f"{count=}")
+            # Same draws consumed: the two generators stay in step.
+            assert fast._gen.random() == ref._gen.random()
+
 
 class TestWriteTrng:
     def test_balance_at_v50(self):
